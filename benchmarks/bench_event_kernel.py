@@ -8,20 +8,11 @@ over variable-disjoint components) instead of expanding it.  The PR-3
 kernel is preserved verbatim in ``repro.pxml.events_reference`` as the
 baseline; both must return bit-identical Fractions.
 
-Since PR 10 the bench also races the *compiled* top-down path
-(``repro.pxml.events_compile``) against the bottom-up kernel on a
-corpus-wide fan-out: the same plan shape priced across many documents
-with one shared :class:`LiteralProbabilityTable`, so literal and
-small-conjunction rows warmed by the first pass answer the rest.
-
 Acceptance (asserted, after the JSON record is written so a noisy
 runner never loses the trajectory point):
 
 * ≥ ``BENCH_KERNEL_SPEEDUP_FLOOR`` (default 5×) on the independent-OR
   workload, Fraction-identical results in both modes;
-* ≥ ``BENCH_COMPILED_WARM_FLOOR`` (default 2×) for warm compiled
-  corpus-wide pricing vs per-document bottom-up pricing,
-  Fraction-identical answers;
 * a 2,600-deep / 5,200-literal chain prices through the worklist
   evaluator without ``RecursionError`` (the PR-3 kernel cannot price it
   at all — that side is reported, not raced).
@@ -33,11 +24,6 @@ from fractions import Fraction
 
 from repro.pxml.build import choice_prob
 from repro.pxml.events import all_of, any_of, event_probability, lit
-from repro.pxml.events_compile import (
-    LiteralProbabilityTable,
-    compile_event,
-    compiled_probability,
-)
 from repro.pxml.events_reference import expansion_probability
 from repro.pxml.model import PXText
 
@@ -48,15 +34,6 @@ from .conftest import format_table, write_bench_json, write_result
 #: that wall-clock ratios can dip on scheduler stalls, so CI sets a
 #: lower sanity floor via this env var instead of flaking.
 SPEEDUP_FLOOR = float(os.environ.get("BENCH_KERNEL_SPEEDUP_FLOOR", "5"))
-
-#: Acceptance floor for warm compiled corpus-wide pricing vs bottom-up.
-#: Locally the measured ratio is well above 2× (warm pricing is mostly
-#: table lookups); CI can lower it on noisy runners.
-COMPILED_WARM_FLOOR = float(os.environ.get("BENCH_COMPILED_WARM_FLOOR", "2"))
-
-#: The compiled fan-out workload: this many same-shaped documents, each
-#: an OR of independent conjunctions over fresh choice variables.
-CORPUS_DOCUMENTS = 24
 
 #: The asserted workload: an OR of M independent K-literal conjunctions
 #: over fresh 3-way choice variables (M·K variables total).
@@ -177,79 +154,6 @@ def test_kernel_speedup_on_independent_or():
     assert asserted_speedup >= SPEEDUP_FLOOR, (
         f"kernel speedup {asserted_speedup:.1f}× below the"
         f" {SPEEDUP_FLOOR}× acceptance floor"
-    )
-
-
-def test_compiled_corpus_fanout_speedup():
-    """Acceptance: warm compiled pricing of a same-shaped corpus through
-    one shared literal table is ≥2× per-document bottom-up pricing,
-    Fraction-identical answers.
-
-    Models :meth:`DataspaceService.query_all`: the same plan priced
-    across ``CORPUS_DOCUMENTS`` documents.  Every document has fresh
-    choice variables (fresh literal rows) but identical probabilities,
-    so the value-keyed small-conjunction rows warmed by the first
-    document answer the other 23 — and a warm second pass is lookups
-    nearly end to end."""
-    conjunctions, literals = CONJUNCTIONS, LITERALS_PER_CONJUNCTION
-    corpus = [
-        build_independent_or(conjunctions, literals)[0]
-        for _ in range(CORPUS_DOCUMENTS)
-    ]
-    compiled = [compile_event(event) for event in corpus]
-    table = LiteralProbabilityTable()
-
-    def price_bottom_up():
-        return [event_probability(event) for event in corpus]
-
-    def price_compiled():
-        return [
-            compiled_probability(plan, table=table) for plan in compiled
-        ]
-
-    price_compiled()  # warm the shared table once
-    bottom_up_time, bottom_up_probs = _time_best_of(ROUNDS, price_bottom_up)
-    compiled_time, compiled_probs = _time_best_of(ROUNDS, price_compiled)
-    speedup = bottom_up_time / compiled_time if compiled_time else float("inf")
-    stats = table.stats()
-
-    write_result(
-        "bench_event_compile",
-        "Compiled corpus fan-out — "
-        f"{CORPUS_DOCUMENTS} documents × ({conjunctions}×{literals})"
-        f" (best of {ROUNDS}, shared literal table, warm)\n"
-        + format_table(
-            ["leg", "corpus pass", "speedup"],
-            [
-                ["bottom-up", f"{bottom_up_time * 1e3:8.2f} ms", "1.0×"],
-                ["compiled+table", f"{compiled_time * 1e3:8.2f} ms", f"{speedup:.1f}×"],
-            ],
-        ),
-    )
-    write_bench_json(
-        "event_compile_fanout",
-        {
-            "workload": "corpus_fanout_or_of_independent_conjunctions",
-            "documents": CORPUS_DOCUMENTS,
-            "conjunctions": conjunctions,
-            "literals_per_conjunction": literals,
-            "rounds": ROUNDS,
-            "bottom_up_seconds": bottom_up_time,
-            "compiled_seconds": compiled_time,
-            "speedup": speedup,
-            "floor": COMPILED_WARM_FLOOR,
-            "literal_hits": stats["literal_hits"],
-            "conjunction_hits": stats["conjunction_hits"],
-            "product_hits": stats["product_hits"],
-        },
-    )
-    assert compiled_probs == bottom_up_probs, (
-        "compiled corpus pricing disagrees with bottom-up"
-    )
-    assert stats["product_hits"] > 0, "cross-document product rows never hit"
-    assert speedup >= COMPILED_WARM_FLOOR, (
-        f"warm compiled fan-out speedup {speedup:.1f}× below the"
-        f" {COMPILED_WARM_FLOOR}× acceptance floor"
     )
 
 

@@ -18,9 +18,10 @@ Selections:
   conditions workload: distinct 1995 movies, two shared rwos.
 
 Genre assignments are calibrated so the paper's rule-effectiveness
-ordering emerges (see DESIGN.md): genres overlap across the action
-franchises (genre rule alone keeps them confusable) but separate Jaws
-(Horror) and the 1966 TV series (Crime) from the rest.
+ordering emerges (see "Genre calibration" in docs/architecture.md):
+genres overlap across the franchises (genre rule alone keeps them
+confusable) but separate the 1966 TV series (Crime) from the rest, and
+Horror marks only the Jaws films.
 """
 
 from __future__ import annotations

@@ -67,8 +67,6 @@ from ..errors import (
 )
 from ..feedback.conditioning import FeedbackStep
 from ..pxml.build import certain_document
-from ..pxml.events_cache import cache_for
-from ..pxml.events_compile import LiteralProbabilityTable, shared_literal_table
 from ..pxml.model import PXDocument
 from ..pxml.stats import NodeStats
 from ..query.aggregates import (
@@ -138,7 +136,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         max_cached_documents: Optional[int] = None,
         cache_max_rows: Optional[int] = None,
         fanout_workers: Optional[int] = None,
-        literal_table: Optional[LiteralProbabilityTable] = None,
     ):
         if store is not None and directory is not None:
             raise StoreError("pass either store= or directory=, not both")
@@ -160,16 +157,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             cache_store = AnswerCacheStore(cache_dir, max_rows=cache_max_rows)
         self.cache: Optional[AnswerCacheStore] = cache_store
         self._module = ImpreciseModule(self.store)
-        #: The cross-document literal/small-conjunction row store every
-        #: engine this service builds prices through (see
-        #: :class:`~repro.pxml.events_compile.LiteralProbabilityTable`)
-        #: — the process-shared table unless an explicit one is passed.
-        #: One instance is threaded through the whole fan-out pool, so N
-        #: workers pricing one compiled plan over N documents share rows.
-        self.literal_table: LiteralProbabilityTable = (
-            literal_table if literal_table is not None
-            else shared_literal_table()
-        )
         #: name -> (content digest, engine over that content); LRU-bounded
         #: by the store's max_cached so engines (which hold their document
         #: strongly) cannot defeat the store's materialization bound.
@@ -210,13 +197,7 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         document = self.store.get(name)
         if isinstance(document, XDocument):
             document = certain_document(document)
-        # Stamp the service's cross-document table on the document's
-        # shared cache before the engine adopts it: every engine this
-        # service builds — including the fan-out pool's workers — then
-        # prices literals and small conjunctions through one row store.
-        cache = cache_for(document)
-        cache.literal_table = self.literal_table
-        engine = QueryEngine(document, cache=cache)
+        engine = QueryEngine(document)
         with self._mu:
             entry = self._engines.get(name)
             if entry is not None and entry[0] == digest:
@@ -668,12 +649,7 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         document is priced through the full serving stack —
         per-document persistent rows hit lock-free in parallel on the
         fan-out thread pool; misses price through the shared engines —
-        so a warm fan-out touches no engine at all.  Cold misses share
-        the service's cross-document ``literal_table`` across the pool:
-        literal and small-conjunction rows derived while pricing one
-        document resolve by value for every other document in the
-        fan-out instead of being re-derived per document.  Fusion
-        semantics
+        so a warm fan-out touches no engine at all.  Fusion semantics
         (``strategy``, ``weights``, ``rrf_k``) are
         :func:`repro.query.fusion.fuse_answers`.
 
@@ -944,10 +920,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
                 "cache_write_failures": self.cache_write_failures,
             }
         )
-        # The cross-document row store is one shared instance, so its
-        # counters are reported once, never summed per engine.
-        for key, value in self.literal_table.stats().items():
-            stats[f"literal_table_{key}"] = value
         return stats
 
     def close(self) -> None:

@@ -118,7 +118,8 @@ def table1_config(
     rule_names: Sequence[str], *, factor_components: bool = False
 ) -> IntegrationConfig:
     """Joint (unfactored) representation by default — the paper's node
-    counts match joint enumeration (see DESIGN.md)."""
+    counts match joint enumeration (see "Joint representation for
+    Table I" in docs/architecture.md)."""
     return movie_config(
         *rule_names,
         factor_components=factor_components,

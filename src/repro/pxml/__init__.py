@@ -50,11 +50,9 @@ from .events import (
 )
 from .events_compile import (
     CompiledEvent,
-    LiteralProbabilityTable,
     compile_event,
     compiled_probability,
     iter_compiled,
-    shared_literal_table,
 )
 from .events_cache import (
     DEFAULT_MAX_ENTRIES,
@@ -101,11 +99,9 @@ __all__ = [
     "product_of",
     "weighted_sum",
     "CompiledEvent",
-    "LiteralProbabilityTable",
     "compile_event",
     "compiled_probability",
     "iter_compiled",
-    "shared_literal_table",
     "DEFAULT_MAX_ENTRIES",
     "EventProbabilityCache",
     "cache_for",

@@ -33,12 +33,9 @@ amortizes it:
 * compiled top-down pricing: a miss is compiled into a
   component-factored plan (:func:`repro.pxml.events_compile.
   compile_event`) and priced by :func:`~repro.pxml.events_compile.
-  compiled_probability` over the same digest-keyed memo, with literal
-  and small-conjunction rows resolved through the **cross-document**
-  :class:`~repro.pxml.events_compile.LiteralProbabilityTable` (the
-  process-shared table by default), so pricing one plan across a
-  dataspace of N documents reuses rows instead of re-deriving them.
-  The bottom-up kernel (``use_cache=False`` engines, or calling
+  compiled_probability` over the same digest-keyed memo.  The memo is
+  the only store pricing fills.  The bottom-up kernel
+  (``use_cache=False`` engines, or calling
   :func:`~repro.pxml.events.event_probability` directly) remains the
   differential reference; the two are Fraction-identical.
 * :meth:`EventProbabilityCache.probabilities_of` — the bulk entry point
@@ -75,12 +72,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .events import Event, FALSE_EVENT, TRUE_EVENT
-from .events_compile import (
-    LiteralProbabilityTable,
-    compile_event,
-    compiled_probability,
-    shared_literal_table,
-)
+from .events_compile import compile_event, compiled_probability
 from .model import PXDocument
 
 #: A compiled plan/spec fingerprint (see ``QueryPlan.fingerprint``).
@@ -94,11 +86,9 @@ _Distribution = dict[object, Fraction]
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "EventProbabilityCache",
-    "LiteralProbabilityTable",
     "cache_for",
     "invalidate",
     "registered_count",
-    "shared_literal_table",
 ]
 
 #: Default bound on memoized event probabilities per cache.  An entry is
@@ -118,11 +108,7 @@ class EventProbabilityCache:
     bounded by ``max_entries`` (least-recently-used eviction, counted in
     ``evictions``); the answer/aggregate side tables are not — they hold
     one entry per distinct (plan, document) pair, which workloads bound
-    naturally.  ``literal_table`` is the cross-document row store misses
-    price through (defaults to the process-shared
-    :func:`~repro.pxml.events_compile.shared_literal_table`; pass an
-    explicit :class:`~repro.pxml.events_compile.LiteralProbabilityTable`
-    to isolate or to share a custom one).
+    naturally.
 
     >>> from repro.pxml.build import certain_document
     >>> from repro.xmlkit.parser import parse_document
@@ -140,14 +126,12 @@ class EventProbabilityCache:
         "misses",
         "evictions",
         "max_entries",
-        "literal_table",
     )
 
     def __init__(
         self,
         *,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        literal_table: Optional[LiteralProbabilityTable] = None,
     ) -> None:
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive (or None)")
@@ -162,13 +146,6 @@ class EventProbabilityCache:
         self.misses = 0
         self.evictions = 0
         self.max_entries = max_entries
-        #: The cross-document literal/product row store (see the module
-        #: docstring); plain attribute, reassignable by owners that
-        #: thread their own table through (the dataspace service does).
-        self.literal_table: LiteralProbabilityTable = (
-            literal_table if literal_table is not None
-            else shared_literal_table()
-        )
 
     # -- probabilities ------------------------------------------------------
 
@@ -178,11 +155,10 @@ class EventProbabilityCache:
         Hits refresh the row's recency (the memo evicts least-recently-
         used); misses compile the event top-down
         (:func:`~repro.pxml.events_compile.compile_event`) and price the
-        factored plan through the shared memo and the cross-document
-        ``literal_table``.  The freshly-priced row is moved to the young
-        end before the bound is enforced, so the event a caller just
-        asked for always survives its own enforcement pass — even at
-        ``max_entries=1``.
+        factored plan through the shared memo.  The freshly-priced row
+        is moved to the young end before the bound is enforced, so the
+        event a caller just asked for always survives its own
+        enforcement pass — even at ``max_entries=1``.
         """
         if event is TRUE_EVENT:
             return Fraction(1)
@@ -201,9 +177,7 @@ class EventProbabilityCache:
             memo[digest] = cached
             return cached
         self.misses += 1
-        result = compiled_probability(
-            compile_event(event), memo=memo, table=self.literal_table
-        )
+        result = compiled_probability(compile_event(event), memo=memo)
         # Guarantee the queried row is the youngest before enforcement:
         # eviction removes ``len - max_entries`` rows from the old end,
         # which can never reach the last row while the bound is >= 1.
@@ -357,20 +331,9 @@ def invalidate(document: PXDocument) -> None:
     Required after mutating the document's probability nodes in place
     (the library's own transformations are functional and never need
     it — see the module docstring).  Clears the cache object (so engines
-    already holding it recompute) and unregisters it, and drops the
-    document's literal rows from the cross-document tables — the
-    cache's own ``literal_table`` and the process-shared one — so no
-    other document's pricing is ever served a stale Fraction through a
-    shared row.  (Product rows are value-keyed pure arithmetic and
-    survive; a changed input simply produces a different key.)  Safe to
-    call when the document has no cache yet: the shared table is still
-    swept.
+    already holding it recompute) and unregisters it.  Safe to call when
+    the document has no cache yet.
     """
     cache = _REGISTRY.pop(document, None)
-    tables = [shared_literal_table()]
     if cache is not None:
         cache.clear()
-        if cache.literal_table is not tables[0]:
-            tables.append(cache.literal_table)
-    for table in tables:
-        table.invalidate_document(document)

@@ -18,7 +18,7 @@ child/descendant/self/parent/attribute axes, name/text()/node() tests,
 ``contains/starts-with/ends-with``, ``some/every $v in … satisfies …``,
 ``true()/false()``.  Value comparisons treat an element's value as the set
 of its descendant text realisations — exact for leaf-structured data (see
-DESIGN.md).  Positional predicates and arithmetic inside predicates have
+"Value comparisons" in docs/architecture.md).  Positional predicates and arithmetic inside predicates have
 no possible-worlds compilation here and raise :class:`QueryError` — at
 *compile* time, before any document is touched.
 
@@ -35,11 +35,7 @@ Two layers of amortization (both per document, both exact):
   component-factored plan (:mod:`repro.pxml.events_compile`) whose
   products/coproducts mirror the independence structure the traversal
   built — axis steps over disjoint subtrees never enter the same
-  Shannon expansion — and literal/small-conjunction rows resolve
-  through the cross-document
-  :class:`~repro.pxml.events_compile.LiteralProbabilityTable`, so
-  fan-out pricing of one plan across a dataspace reuses rows between
-  documents.
+  Shannon expansion.
 
 Construct with ``use_cache=False`` for the uncached reference behaviour
 (``cache=None`` is the default and means "use the document's shared
@@ -68,7 +64,6 @@ from ..pxml.events import (
     negate,
 )
 from ..pxml.events_cache import EventProbabilityCache, cache_for
-from ..pxml.events_compile import CompiledEvent, compile_event
 from ..pxml.model import PXDocument, PXElement, PXText
 from ..pxml.worlds import DEFAULT_WORLD_LIMIT, iter_worlds
 from ..xmlkit.nodes import XDocument, XElement, XText
@@ -202,20 +197,6 @@ class ProbQueryEngine:
         if self.cache is not None:
             self.cache.store_answer_events(self.document, plan.fingerprint, events)
         return events
-
-    def compiled_answer_events(
-        self, expression: QueryLike
-    ) -> dict[str, tuple[CompiledEvent, int]]:
-        """The answer events of ``expression``, compiled into
-        component-factored pricing plans
-        (:func:`repro.pxml.events_compile.compile_event`) — the shape
-        the cache prices misses through.  Exposed so tests and tools can
-        inspect the factoring the engine's traversal produced (e.g. the
-        variable-disjointness invariant of every product/coproduct)."""
-        return {
-            value: (compile_event(event), count)
-            for value, (event, count) in self.answer_events(expression).items()
-        }
 
     def answer_probability(self, expression: QueryLike, value: str) -> Fraction:
         """P(value ∈ answer)."""

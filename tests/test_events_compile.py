@@ -1,18 +1,19 @@
 """Tests for top-down component-factored event compilation
-(:mod:`repro.pxml.events_compile`), the cross-document literal table,
-and the event-cache eviction bugfix sweep.
+(:mod:`repro.pxml.events_compile`), event-cache invalidation, and the
+event-cache eviction bugfix sweep.
 
 Four layers:
 
-* **structure** — compiled plan shapes (factoring, atoms, interning)
-  and the variable-disjointness invariant of every product/coproduct,
+* **structure** — compiled plan shapes (factoring, atoms) and the
+  variable-disjointness invariant of every product/coproduct,
   including over engine-built answer events;
 * **differential** — a seeded corpus sweep (raw, simplified,
   feedback-conditioned documents) pinning compiled pricing
   Fraction-identical to the bottom-up kernel, the preserved PR-3
   expansion oracle, and per-world query enumeration;
-* **literal table** — cross-document row reuse, in-place-mutation
-  invalidation (no stale Fraction served to any document), bounds;
+* **invalidation** — in-place mutation followed by
+  :func:`~repro.pxml.events_cache.invalidate` serves no stale Fraction
+  to the mutated document or to any other;
 * **eviction bugfixes** — LRU (not FIFO) recency on hit, and the
   queried row surviving its own enforcement pass down to
   ``max_entries=1``.
@@ -45,11 +46,9 @@ from repro.pxml.events_compile import (
     C_NOT,
     C_PROD,
     C_TRUE,
-    LiteralProbabilityTable,
     compile_event,
     compiled_probability,
     iter_compiled,
-    shared_literal_table,
 )
 from repro.pxml.events_reference import expansion_probability
 from repro.pxml.model import PXDocument, PXElement, Possibility, ProbNode
@@ -62,11 +61,9 @@ from tests.test_event_kernel import QUERY, binary, brute_force, random_document
 
 
 def _fresh_cache(max_entries=None):
-    """A cache isolated from the process-shared literal table, so hit
-    and miss counters are deterministic per test."""
-    return EventProbabilityCache(
-        max_entries=max_entries, literal_table=LiteralProbabilityTable()
-    )
+    """A cache registered for no document, so hit and miss counters are
+    deterministic per test."""
+    return EventProbabilityCache(max_entries=max_entries)
 
 
 def assert_components_disjoint(compiled):
@@ -145,11 +142,6 @@ class TestCompileStructure:
         assert kinds == sorted((C_LIT, C_COPROD))
         assert_components_disjoint(compiled)
 
-    def test_compiled_plans_intern_by_source_digest(self):
-        a, b = binary(), binary()
-        event = any_of([lit(a, 0), lit(b, 0)])
-        assert compile_event(event) is compile_event(event)
-
     def test_iter_compiled_visits_each_node_once(self):
         a, b, c, d = binary(), binary(), binary(), binary()
         event = any_of(
@@ -166,38 +158,36 @@ class TestCompileStructure:
         document = random_document(seed)
         engine = ProbQueryEngine(document, use_cache=False)
         try:
-            compiled = engine.compiled_answer_events(QUERY)
+            events = engine.answer_events(QUERY)
         except QueryError:
             pytest.skip("document exceeds the value-realisation cap")
-        if not compiled:
+        if not events:
             pytest.skip("no answer values for this seed")
-        for value, (plan, count) in compiled.items():
+        for value, (event, count) in events.items():
             assert count >= 1
-            assert_components_disjoint(plan)
+            assert_components_disjoint(compile_event(event))
 
 
 # -- differential sweep ----------------------------------------------------------
 
 
 def _assert_compiled_matches_everything(document, *, enumerate_worlds=True):
-    """Every answer event of QUERY prices identically compiled
-    (with and without a table), bottom-up, and under the PR-3 oracle;
-    the cached engine's ranked answer equals per-world enumeration."""
+    """Every answer event of QUERY prices identically compiled (fresh
+    and over one memo shared across the answers), bottom-up, and under
+    the PR-3 oracle; the cached engine's ranked answer equals per-world
+    enumeration."""
     reference = ProbQueryEngine(document, use_cache=False)
     try:
         events = reference.answer_events(QUERY)
     except QueryError:
         pytest.skip("document exceeds the value-realisation cap")
-    table = LiteralProbabilityTable()
     memo = {}
     for value, (event, _) in events.items():
         compiled = compile_event(event)
         assert_components_disjoint(compiled)
         bottom_up = event_probability(event)
         assert compiled_probability(compiled) == bottom_up, value
-        assert (
-            compiled_probability(compiled, memo=memo, table=table) == bottom_up
-        ), value
+        assert compiled_probability(compiled, memo=memo) == bottom_up, value
         assert expansion_probability(event) == bottom_up, value
     cached = QueryEngine(document, cache=_fresh_cache())
     ranked = {i.value: i.probability for i in cached.query(QUERY)}
@@ -251,14 +241,13 @@ class TestCompiledDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_boolean_events_with_shared_memo(self, seed):
         """Adversarial boolean shapes (negations, overlaps): compiled
-        pricing over one shared memo + table equals brute force."""
+        pricing over one shared memo equals brute force."""
         rng = random.Random(7000 + seed)
         nodes = [
             binary(rng.choice(("1/4", "1/2", "2/3", "1/5")))
             for _ in range(rng.randint(2, 6))
         ]
         memo = {}
-        table = LiteralProbabilityTable()
         for _ in range(6):
             terms = []
             for _ in range(rng.randint(1, 4)):
@@ -278,10 +267,7 @@ class TestCompiledDifferential:
             compiled = compile_event(event)
             assert_components_disjoint(compiled)
             expected = brute_force(event, nodes)
-            assert (
-                compiled_probability(compiled, memo=memo, table=table)
-                == expected
-            )
+            assert compiled_probability(compiled, memo=memo) == expected
             assert event_probability(event) == expected
 
     def test_memo_interchangeable_with_kernel(self):
@@ -339,7 +325,7 @@ class TestBatchedArithmetic:
         assert weighted_sum([], []) == ZERO
 
 
-# -- the cross-document literal table --------------------------------------------
+# -- invalidation ----------------------------------------------------------------
 
 
 def _two_choice_document(probs):
@@ -352,187 +338,39 @@ def _two_choice_document(probs):
     return PXDocument(ProbNode([Possibility(1, [element])])), node
 
 
-class TestLiteralTable:
-    def test_literal_rows_fill_and_hit(self):
-        table = LiteralProbabilityTable()
-        node = binary("1/3")
-        event = lit(node, 0)
-        assert table.literal(event) == Fraction(1, 3)
-        assert table.literal(event) == Fraction(1, 3)
-        stats = table.stats()
-        assert stats["literal_misses"] == 1
-        assert stats["literal_hits"] == 1
-
-    def test_product_rows_reuse_across_documents(self):
-        """The same factor multiset priced for a second document
-        resolves from the value-keyed rows — the cross-document reuse
-        the fan-out depends on."""
-        table = LiteralProbabilityTable()
-        probs = (Fraction(1, 3), Fraction(2, 3))
-        docs = []
-        for _ in range(2):
-            document, _node = _two_choice_document(probs)
-            docs.append(document)
-        events = []
-        for document in docs:
-            root = document.root
-            inner = root.possibilities[0].children[0].children[0]
-            events.append(
-                all_of([lit(root, 0) if len(root.possibilities) > 1 else TRUE_EVENT,
-                        lit(inner, 0)])
-            )
-        # Same *plan shape*, distinct variables: conjunctions of two
-        # independent literals with identical probabilities.
-        a1, b1 = binary("1/3"), binary("1/5")
-        a2, b2 = binary("1/3"), binary("1/5")
-        first = all_of([lit(a1, 0), lit(b1, 0)])
-        second = all_of([lit(a2, 0), lit(b2, 0)])
-        assert compiled_probability(compile_event(first), table=table) == (
-            Fraction(1, 15)
-        )
-        hits_before = table.stats()["product_hits"]
-        assert compiled_probability(compile_event(second), table=table) == (
-            Fraction(1, 15)
-        )
-        assert table.stats()["product_hits"] > hits_before
-
+class TestInvalidation:
     def test_mutate_then_requery_serves_no_stale_fraction(self):
         """In-place mutation + invalidate(): the mutated document
-        reprices fresh, and a sibling document sharing the table keeps
-        pricing its own rows correctly — no stale Fraction is served
-        cross-document."""
-        table = LiteralProbabilityTable()
+        reprices fresh, and a sibling document keeps its own cache and
+        prices its own probabilities — no stale Fraction is served to
+        either."""
         doc_a, node_a = _two_choice_document((Fraction(1, 2), Fraction(1, 2)))
         doc_b, node_b = _two_choice_document((Fraction(1, 3), Fraction(2, 3)))
         cache_a = cache_for(doc_a)
         cache_b = cache_for(doc_b)
-        cache_a.literal_table = table
-        cache_b.literal_table = table
         assert cache_a.probability(lit(node_a, 0)) == Fraction(1, 2)
         assert cache_b.probability(lit(node_b, 0)) == Fraction(1, 3)
         # Mutate A's probabilities in place, then invalidate.
         node_a.possibilities[0].prob = Fraction(1, 5)
         node_a.possibilities[1].prob = Fraction(4, 5)
         invalidate(doc_a)
+        assert len(cache_a) == 0  # engines still holding it recompute
         cache_a = cache_for(doc_a)  # invalidation unregisters the cache
-        cache_a.literal_table = table
         assert cache_a.probability(lit(node_a, 0)) == Fraction(1, 5)
+        assert cache_for(doc_b) is cache_b
         assert cache_b.probability(lit(node_b, 0)) == Fraction(1, 3)
         assert cache_b.probability(lit(node_b, 1)) == Fraction(2, 3)
 
-    def test_invalidate_sweeps_shared_table_without_a_cache(self):
-        """invalidate() drops literal rows from the process-shared
-        table even when the document never registered a cache."""
-        shared = shared_literal_table()
+    def test_invalidate_without_a_cache_returns_cleanly(self):
+        """invalidate() on a document that never registered a cache is a
+        no-op, and the document then prices from a fresh cache."""
         doc, node = _two_choice_document((Fraction(1, 2), Fraction(1, 2)))
-        assert shared.literal(lit(node, 0)) == Fraction(1, 2)
         node.possibilities[0].prob = Fraction(1, 4)
         node.possibilities[1].prob = Fraction(3, 4)
-        invalidate(doc)
-        assert shared.literal(lit(node, 0)) == Fraction(1, 4)
-
-    def test_invalidate_drops_conjunction_rows(self):
-        """The identity-keyed small-conjunction rows are per-document
-        state: mutating any mentioned node must drop them too."""
-        table = LiteralProbabilityTable()
-        element = PXElement("r")
-        first = element.append(
-            ProbNode([Possibility(Fraction(1, 2)), Possibility(Fraction(1, 2))])
-        )
-        second = element.append(
-            ProbNode([Possibility(Fraction(1, 3)), Possibility(Fraction(2, 3))])
-        )
-        doc = PXDocument(ProbNode([Possibility(1, [element])]))
-        event = all_of([lit(first, 0), lit(second, 0)])
-        assert compiled_probability(compile_event(event), table=table) == (
-            Fraction(1, 6)
-        )
-        assert table.stats()["conjunction_rows"] == 1
-        first.possibilities[0].prob = Fraction(1, 4)
-        first.possibilities[1].prob = Fraction(3, 4)
-        dropped = table.invalidate_document(doc)
-        assert dropped >= 3  # both literals of `first` + the conjunction
-        assert table.stats()["conjunction_rows"] == 0
-        assert compiled_probability(
-            compile_event(event), table=table
-        ) == Fraction(1, 12)
-
-    def test_warm_conjunction_is_identity_keyed(self):
-        """Re-pricing the same compiled conjunction hits the identity
-        rows (no per-literal traffic the second time)."""
-        table = LiteralProbabilityTable()
-        a, b = binary("1/3"), binary("1/5")
-        event = all_of([lit(a, 0), lit(b, 0)])
-        compiled = compile_event(event)
-        compiled_probability(compiled, table=table)
-        literal_calls = (
-            table.stats()["literal_hits"] + table.stats()["literal_misses"]
-        )
-        assert compiled_probability(compiled, table=table) == Fraction(1, 15)
-        stats = table.stats()
-        assert stats["conjunction_hits"] == 1
-        assert (
-            stats["literal_hits"] + stats["literal_misses"] == literal_calls
-        )
-
-    def test_invalidate_document_returns_dropped_count(self):
-        table = LiteralProbabilityTable()
-        doc, node = _two_choice_document((Fraction(1, 2), Fraction(1, 2)))
-        table.literal(lit(node, 0))
-        table.literal(lit(node, 1))
-        assert table.invalidate_document(doc) == 2
-        assert table.invalidate_document(doc) == 0
-
-    def test_literal_rows_are_bounded_lru(self):
-        table = LiteralProbabilityTable(max_literal_rows=4)
-        nodes = [binary() for _ in range(8)]
-        for node in nodes:
-            table.literal(lit(node, 0))
-        stats = table.stats()
-        assert stats["literal_rows"] <= 4
-        assert stats["evictions"] >= 4
-
-    def test_product_rows_are_bounded_lru(self):
-        table = LiteralProbabilityTable(max_product_rows=3)
-        for i in range(2, 10):
-            table.product([Fraction(1, i), Fraction(1, i + 1)])
-        assert table.stats()["product_rows"] <= 3
-
-    def test_big_products_bypass_the_rows(self):
-        table = LiteralProbabilityTable()
-        factors = [Fraction(1, k) for k in range(2, 30)]
-        expected = product_of(factors)
-        assert table.product(factors) == expected
-        assert table.stats()["product_rows"] == 0
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            LiteralProbabilityTable(max_literal_rows=0)
-        with pytest.raises(ValueError):
-            LiteralProbabilityTable(max_product_rows=0)
-
-    def test_clear_and_len(self):
-        table = LiteralProbabilityTable()
-        table.literal(lit(binary(), 0))
-        table.product([Fraction(1, 2), Fraction(1, 3)])
-        assert len(table) == 2
-        table.clear()
-        assert len(table) == 0
-
-    def test_cache_defaults_to_the_shared_table(self):
-        assert EventProbabilityCache().literal_table is shared_literal_table()
-
-    def test_service_threads_one_table_through_engines(self):
-        from repro.dbms.service import DataspaceService
-
-        table = LiteralProbabilityTable()
-        service = DataspaceService(literal_table=table)
-        service.load("a", "<r><x>1</x></r>")
-        service.load("b", "<r><x>2</x></r>")
-        service.query_all("//x")
-        stats = service.cache_stats()
-        assert "literal_table_literal_rows" in stats
-        assert stats["literal_table_literal_rows"] == table.stats()["literal_rows"]
+        assert invalidate(doc) is None
+        cache = cache_for(doc)
+        assert len(cache) == 0
+        assert cache.probability(lit(node, 0)) == Fraction(1, 4)
 
 
 # -- eviction bugfixes -----------------------------------------------------------

@@ -15,8 +15,13 @@ It also flags **orphaned pages**: a file under ``docs/`` that no other
 Markdown file links to is unreachable from the entry points and fails
 the check (root-level ``*.md`` are the entry points and are exempt).
 
-Exit status: 0 when every link resolves and no page is orphaned,
-1 otherwise (each failure is listed as ``file:line: message``).
+Finally it flags **dangling source references**: a ``*.md`` path named
+anywhere in a ``src/**/*.py`` file (docstrings, comments, help text)
+must exist, resolved against the repository root — so a docstring can
+never point readers at a page that is not there.
+
+Exit status: 0 when every link and source reference resolves and no
+page is orphaned, 1 otherwise (each failure is listed as ``file:line: message``).
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+#: A Markdown path in source text (``docs/api.md``, ``README.md``); the
+#: lookbehind keeps it from starting mid-path or mid-URL.
+SOURCE_MD_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
 
 
-def markdown_files() -> list[Path]:
-    files = sorted(ROOT.glob("*.md"))
-    files.extend(sorted((ROOT / "docs").glob("**/*.md")))
+def markdown_files(root: Path = ROOT) -> list[Path]:
+    files = sorted(root.glob("*.md"))
+    files.extend(sorted((root / "docs").glob("**/*.md")))
     return [path for path in files if path.is_file()]
 
 
@@ -80,16 +88,33 @@ def iter_links(path: Path):
             yield number, match.group(1)
 
 
-def check() -> list[str]:
+def source_reference_failures(root: Path = ROOT) -> list[str]:
+    """``file:line`` failures for ``*.md`` paths named in ``src/**/*.py``
+    that do not exist under ``root``."""
+    failures = []
+    for path in sorted((root / "src").glob("**/*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            for match in SOURCE_MD_RE.finditer(line):
+                target = match.group(1)
+                if not (root / target).exists():
+                    failures.append(
+                        f"{path.relative_to(root)}:{number}:"
+                        f" reference to missing file -> {target}"
+                    )
+    return failures
+
+
+def check(root: Path = ROOT) -> list[str]:
     failures = []
     anchor_cache: dict = {}
     linked_targets: set = set()
-    files = markdown_files()
+    files = markdown_files(root)
     for path in files:
         for line_number, target in iter_links(path):
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            where = f"{path.relative_to(ROOT)}:{line_number}"
+            where = f"{path.relative_to(root)}:{line_number}"
             target, _, fragment = target.partition("#")
             if target:
                 resolved = (path.parent / target).resolve()
@@ -115,13 +140,14 @@ def check() -> list[str]:
     # Root-level pages (README.md, ROADMAP.md, ...) are entry points and
     # exempt.
     for path in files:
-        if path.parent == ROOT:
+        if path.parent == root:
             continue
         if path.resolve() not in linked_targets:
             failures.append(
-                f"{path.relative_to(ROOT)}: orphaned page — not linked"
+                f"{path.relative_to(root)}: orphaned page — not linked"
                 f" from any other markdown file"
             )
+    failures.extend(source_reference_failures(root))
     return failures
 
 
